@@ -249,7 +249,9 @@ func launchLocal(n int, rawArgs []string) int {
 	}
 	base := stripFlag(rawArgs, "local-ranks")
 	cmds := make([]*exec.Cmd, n)
-	var pipes sync.WaitGroup
+	// A rank's output must be drained before its Wait, which closes the
+	// pipes and would otherwise drop the report printed just before exit.
+	drained := make([]sync.WaitGroup, n)
 	for i := 0; i < n; i++ {
 		args := append(append([]string{}, base...),
 			"-ranks", strconv.Itoa(n), "-rank", strconv.Itoa(i), "-join", join)
@@ -261,9 +263,9 @@ func launchLocal(n int, rawArgs []string) int {
 			return 1
 		}
 		prefix := fmt.Sprintf("[rank %d] ", i)
-		pipes.Add(2)
-		go pipePrefixed(&pipes, stdout, os.Stdout, prefix)
-		go pipePrefixed(&pipes, stderr, os.Stderr, prefix)
+		drained[i].Add(2)
+		go pipePrefixed(&drained[i], stdout, os.Stdout, prefix)
+		go pipePrefixed(&drained[i], stderr, os.Stderr, prefix)
 		if err := cmd.Start(); err != nil {
 			fmt.Fprintf(os.Stderr, "starting rank %d: %v\n", i, err)
 			killAll(cmds)
@@ -277,7 +279,10 @@ func launchLocal(n int, rawArgs []string) int {
 	}
 	exits := make(chan childExit, n)
 	for i, cmd := range cmds {
-		go func(rank int, cmd *exec.Cmd) { exits <- childExit{rank, cmd.Wait()} }(i, cmd)
+		go func(rank int, cmd *exec.Cmd) {
+			drained[rank].Wait()
+			exits <- childExit{rank, cmd.Wait()}
+		}(i, cmd)
 	}
 	code := 0
 	for range cmds {
@@ -290,7 +295,6 @@ func launchLocal(n int, rawArgs []string) int {
 			}
 		}
 	}
-	pipes.Wait()
 	return code
 }
 

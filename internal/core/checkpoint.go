@@ -334,16 +334,51 @@ func checkGeometry(hd *cpHeader, cfg *Config) error {
 	return nil
 }
 
+// particleCheck refuses a decoded particle that could not have been
+// written by a simulation on its grid: the voxel must be an interior
+// cell and the offsets, momenta and weight finite. The CRC trailer
+// only proves the bytes arrived as written; a well-formed file can
+// still carry a voxel that would index outside the interpolator table
+// on the first step. Interior cells are tabulated once per grid so the
+// per-particle test is a lookup, not a voxel decode.
+type particleCheck struct{ interior []bool }
+
+func newParticleCheck(g *grid.Grid) particleCheck {
+	in := make([]bool, g.NV())
+	for iz := 1; iz <= g.NZ; iz++ {
+		for iy := 1; iy <= g.NY; iy++ {
+			for ix := 1; ix <= g.NX; ix++ {
+				in[g.Voxel(ix, iy, iz)] = true
+			}
+		}
+	}
+	return particleCheck{in}
+}
+
+func (pc particleCheck) check(p *particle.Particle) error {
+	if v := int(p.Voxel); v < 0 || v >= len(pc.interior) || !pc.interior[v] {
+		return fmt.Errorf("core: checkpoint particle in voxel %d, not an interior cell of the %d-voxel grid", p.Voxel, len(pc.interior))
+	}
+	const exp = 0x7f800000 // all-ones exponent: Inf or NaN
+	for _, x := range [...]float32{p.Dx, p.Dy, p.Dz, p.Ux, p.Uy, p.Uz, p.W} {
+		if math.Float32bits(x)&exp == exp {
+			return fmt.Errorf("core: checkpoint particle in voxel %d has a non-finite offset, momentum or weight %+v", p.Voxel, *p)
+		}
+	}
+	return nil
+}
+
 // Restore loads a checkpoint written by a simulation with the same
 // geometry, rank layout and species list, replacing all dynamic state
 // bit-exactly. A grid or species mismatch returns
 // *GeometryMismatchError (unrecoverable); a rank-layout mismatch
 // returns *LayoutMismatchError carrying the recorded layout, which the
 // caller can bridge by rebuilding the recorded geometry or re-binning
-// with RestoreRebin. v2/v3 files are checksum-verified; a truncated or
-// bit-flipped file is rejected with an error, in which case the
-// simulation's dynamic state is undefined and the caller should
-// rebuild or re-restore before stepping.
+// with RestoreRebin. v2/v3 files are checksum-verified, and every
+// particle is checked (particleCheck) as it is decoded; a truncated,
+// bit-flipped or out-of-range file is rejected with an error, in which
+// case the simulation's dynamic state is undefined and the caller
+// should rebuild or re-restore before stepping.
 func (s *Simulation) Restore(r io.Reader) error {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hd, c, h, err := readCheckpointHeader(br)
@@ -369,6 +404,7 @@ func (s *Simulation) Restore(r io.Reader) error {
 		} else {
 			rk.rho0 = nil
 		}
+		pc := newParticleCheck(rk.D.G)
 		for _, sp := range rk.Species {
 			n := int(c.u64())
 			if c.err != nil {
@@ -384,6 +420,12 @@ func (s *Simulation) Restore(r io.Reader) error {
 				p.Voxel = int32(uint32(c.u64()))
 				c.f32s(tmp2)
 				p.Ux, p.Uy, p.Uz, p.W = tmp2[0], tmp2[1], tmp2[2], tmp2[3]
+				if c.err != nil {
+					return fmt.Errorf("core: checkpoint truncated or unreadable: %w", c.err)
+				}
+				if err := pc.check(&p); err != nil {
+					return err
+				}
 				sp.Buf.Append(p)
 			}
 		}

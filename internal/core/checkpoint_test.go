@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"govpic/internal/particle"
 )
 
 // ckptFixture runs a small plasma a few steps and returns its v3
@@ -117,5 +120,51 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 		t.Fatal("accepted checkpoint with different rank count")
 	} else if !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("rank mismatch: err = %v", err)
+	}
+}
+
+// TestRestoreRejectsBadParticles: a checkpoint whose CRC is valid but
+// which carries a particle no simulation could have written — a voxel
+// outside the table (which would index out of range on the first
+// push), a ghost voxel, a non-finite momentum or weight — must fail
+// Restore with an error instead of panicking in Step.
+func TestRestoreRejectsBadParticles(t *testing.T) {
+	cfg := periodicPlasma(16, 0.2, 0.05, 8, 1)
+	for _, c := range []struct {
+		name string
+		bad  func(p *particle.Particle)
+		want string
+	}{
+		{"voxel 1<<30", func(p *particle.Particle) { p.Voxel = 1 << 30 }, "interior"},
+		{"negative voxel", func(p *particle.Particle) { p.Voxel = -3 }, "interior"},
+		{"ghost voxel", func(p *particle.Particle) { p.Voxel = 0 }, "interior"},
+		{"NaN momentum", func(p *particle.Particle) { p.Uy = float32(math.NaN()) }, "non-finite"},
+		{"infinite weight", func(p *particle.Particle) { p.W = float32(math.Inf(1)) }, "non-finite"},
+	} {
+		src, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Run(2)
+		buf := src.Ranks[0].Species[0].Buf
+		p := buf.At(5)
+		c.bad(&p)
+		buf.Set(5, p)
+		var ckpt bytes.Buffer
+		if err := src.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+
+		dst, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = dst.Restore(bytes.NewReader(ckpt.Bytes()))
+		if err == nil {
+			t.Fatalf("%s: restore accepted the particle", c.name)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: err = %v, want mention of %q", c.name, err, c.want)
+		}
 	}
 }

@@ -164,6 +164,7 @@ func rebinScatter(c *cpReader, cfg *Config, rec, cur grid.Layout, rankAt func(in
 			}
 		}
 		// Scatter particles by their global cell.
+		pc := newParticleCheck(rg)
 		tmp := make([]float32, 3)
 		tmp2 := make([]float32, 4)
 		for si := 0; si < len(cfg.Species); si++ {
@@ -175,13 +176,16 @@ func rebinScatter(c *cpReader, cfg *Config, rec, cur grid.Layout, rankAt func(in
 				var p particle.Particle
 				c.f32s(tmp)
 				p.Dx, p.Dy, p.Dz = tmp[0], tmp[1], tmp[2]
-				vox := int(uint32(c.u64()))
+				p.Voxel = int32(uint32(c.u64()))
 				c.f32s(tmp2)
 				p.Ux, p.Uy, p.Uz, p.W = tmp2[0], tmp2[1], tmp2[2], tmp2[3]
 				if c.err != nil {
 					return fmt.Errorf("core: checkpoint truncated or unreadable: %w", c.err)
 				}
-				ix, iy, iz := rg.Unvoxel(vox)
+				if err := pc.check(&p); err != nil {
+					return err
+				}
+				ix, iy, iz := rg.Unvoxel(int(p.Voxel))
 				gx, gy, gz := gx0+ix-1, gy0+iy-1, gz0+iz-1
 				rk := hosted[cur.RankOfCell(gx, gy, gz)]
 				if rk == nil {

@@ -153,8 +153,10 @@ func TestAdvanceZeroAllocSteadyState(t *testing.T) {
 }
 
 // benchSortedRig builds the benchmark population: benchN particles on a
-// production-ish grid, voxel-sorted so runs average ~ppc particles.
-func benchSortedRig(b *testing.B, n int, sorted bool) (*rig, *Kernel) {
+// production-ish grid, voxel-sorted so runs average ~ppc particles,
+// then advanced decay steps so movers break the runs up as they do
+// between the periodic sorts of a real run.
+func benchSortedRig(b *testing.B, n int, sorted bool, decay int) (*rig, *Kernel) {
 	r := newRig(16, 8, 8, 0.5)
 	r.smoothFields(0.3)
 	k := r.kernel(-1, 1, 0.1)
@@ -163,14 +165,20 @@ func benchSortedRig(b *testing.B, n int, sorted bool) (*rig, *Kernel) {
 		sortByVoxel(r.buf)
 	}
 	k.Prealloc(n/8, 64)
+	for s := 0; s < decay; s++ {
+		r.acc.Clear()
+		k.AdvanceP(r.buf)
+	}
 	r.acc.Clear()
 	k.AdvanceP(r.buf) // warm-up allocates movers/outgoing
 	return r, k
 }
 
 // BenchmarkPushSortedRuns measures the wide-lane and scalar fused
-// kernels against the unfused baseline on the same sorted buffer, and
-// the lane kernel's worst case (unsorted buffer, one run per particle).
+// kernels against the unfused baseline on the same sorted buffer, the
+// lane kernel's worst case (unsorted buffer, one run per particle), and
+// the state in between that a run spends most steps in (decayed: sorted,
+// then advanced 10 steps).
 // The lanes=8 vs lanes=1 gap is what the AoSoA lane shape buys; the
 // lanes=1 vs unfused gap is what run fusion buys. Allocations must
 // be 0.
@@ -179,23 +187,26 @@ func BenchmarkPushSortedRuns(b *testing.B) {
 	cases := []struct {
 		name   string
 		sorted bool
+		decay  int // steps advanced after the sort, before timing
 		lanes  int // 0 = unfused baseline
 		asm    bool
 	}{
-		{"asm/sorted", true, particle.Lanes, true},
-		{"lanes8/sorted", true, particle.Lanes, false},
-		{"lanes1/sorted", true, 1, false},
-		{"unfused/sorted", true, 0, false},
-		{"asm/unsorted", false, particle.Lanes, true},
-		{"lanes8/unsorted", false, particle.Lanes, false},
-		{"lanes1/unsorted", false, 1, false},
+		{"asm/sorted", true, 0, particle.Lanes, true},
+		{"lanes8/sorted", true, 0, particle.Lanes, false},
+		{"lanes1/sorted", true, 0, 1, false},
+		{"unfused/sorted", true, 0, 0, false},
+		{"asm/decayed", true, 10, particle.Lanes, true},
+		{"lanes1/decayed", true, 10, 1, false},
+		{"asm/unsorted", false, 0, particle.Lanes, true},
+		{"lanes8/unsorted", false, 0, particle.Lanes, false},
+		{"lanes1/unsorted", false, 0, 1, false},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			if c.asm && !AsmAvailable() {
 				b.Skip("assembly kernel unavailable on this build/CPU")
 			}
-			r, k := benchSortedRig(b, n, c.sorted)
+			r, k := benchSortedRig(b, n, c.sorted, c.decay)
 			if c.lanes > 0 {
 				k.Lanes = c.lanes
 			}

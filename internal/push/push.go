@@ -203,7 +203,7 @@ type Kernel struct {
 	// bitwise-identical results; see the package comment.
 	Lanes int
 
-	// Asm runs the wide-lane sweep through the hand-written AVX2 span
+	// Asm runs the wide-lane sweep through the hand-written AVX2 block
 	// kernel (amd64 only; see ResolveKernel/AsmAvailable). It is
 	// bitwise identical to the Go lane kernel, so flipping it is a
 	// pure performance ablation. Ignored when Lanes == 1.

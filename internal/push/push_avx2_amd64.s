@@ -1,11 +1,14 @@
 //go:build !purego
 
-// AVX2 span kernel for the AoSoA particle push: all three staged lane
+// AVX2 block kernel for the AoSoA particle push: all three staged lane
 // loops of advanceRangeLanes fused into one straight-line vector
-// routine over the lanes [s0, s1) of a single 256-byte particle.Block.
+// routine over the lanes [l0, l1) of a single 256-byte particle.Block.
 // The 8 lanes of the block are the 8 float32 lanes of a YMM register,
 // so each "lane loop" of the Go kernel collapses into a handful of
-// vector instructions.
+// vector instructions. Each lane reads its own voxel's interpolator:
+// the 18 coefficients are fetched with masked VGATHERDPS from the
+// table, so the lanes of a block need not share a voxel and the kernel
+// stays vectorized however far the buffer has drifted from voxel order.
 //
 // Bit-exactness contract (see DESIGN §15 and the parity tests): every
 // lane is arithmetically independent, every instruction used is IEEE
@@ -14,15 +17,19 @@
 // kernel on amd64, so fusing here would change roundings), and the
 // association of every expression mirrors the Go source exactly.
 // Go's rsqrt — float32 SQRTSS then DIVSS — becomes VSQRTPS + VDIVPS,
-// the same two correctly-rounded operations lane-wise. Loads are full
-// 32-byte vectors (garbage lanes compute garbage harmlessly); stores
-// are masked so lanes outside the span, and the pre-step offsets of
-// crossing lanes, are never written. The caller performs the ordered
-// scalar accumulation of the per-lane current contributions, so the
-// run cell's addition chains stay exactly the scalar sweep's.
+// the same two correctly-rounded operations lane-wise. Block loads are
+// full 32-byte vectors (garbage lanes compute garbage harmlessly);
+// gathers are masked to [l0, l1), so the voxel of a lane outside the
+// range is never used as an address; stores are masked so lanes
+// outside the range, and the pre-step offsets of crossing lanes, are
+// never written. The caller performs the ordered scalar accumulation
+// of the per-lane current contributions, so the run cell's addition
+// chains stay exactly the scalar sweep's.
 //
 // Register plan (stages; Y12 = broadcast qdt2mc through stage B):
-//   A gather:  Y0-2 dx,dy,dz   -> Y3-5 hax,hay,haz  Y6-8 cbx,cby,cbz
+//   A gather:  Y0-2 dx,dy,dz  Y9 voxel·9  Y10 range mask  Y11 mask copy
+//              Y13-15 gathered coefficients and temps
+//              -> Y3-5 hax,hay,haz  Y6-8 cbx,cby,cbz
 //   B boris:   Y9-11 ux,uy,uz updated, masked-stored to Ux,Uy,Uz
 //   C move:    Y3-5 ddx,ddy,ddz  Y0-2 dx,dy,dz  Y6-8 nx,ny,nz
 //              Y9 crosser vector -> AX bitmask, Y10 offset store mask
@@ -35,6 +42,7 @@
 #define BDX 0
 #define BDY 32
 #define BDZ 64
+#define BVOXEL 96
 #define BUX 128
 #define BUY 160
 #define BUZ 192
@@ -61,59 +69,69 @@ GLOBL third<>(SB), RODATA, $4
 DATA absmask<>+0(SB)/4, $0x7fffffff
 GLOBL absmask<>(SB), RODATA, $4
 
-// spanmask<> row k (k = 0..8) has the first k dword lanes set; the
-// span [s0, s1) mask is row[s1] &^ row[s0].
-DATA spanmask<>+0(SB)/8, $0x0000000000000000
-DATA spanmask<>+8(SB)/8, $0x0000000000000000
-DATA spanmask<>+16(SB)/8, $0x0000000000000000
-DATA spanmask<>+24(SB)/8, $0x0000000000000000
-DATA spanmask<>+32(SB)/8, $0x00000000ffffffff
-DATA spanmask<>+40(SB)/8, $0x0000000000000000
-DATA spanmask<>+48(SB)/8, $0x0000000000000000
-DATA spanmask<>+56(SB)/8, $0x0000000000000000
-DATA spanmask<>+64(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+72(SB)/8, $0x0000000000000000
-DATA spanmask<>+80(SB)/8, $0x0000000000000000
-DATA spanmask<>+88(SB)/8, $0x0000000000000000
-DATA spanmask<>+96(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+104(SB)/8, $0x00000000ffffffff
-DATA spanmask<>+112(SB)/8, $0x0000000000000000
-DATA spanmask<>+120(SB)/8, $0x0000000000000000
-DATA spanmask<>+128(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+136(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+144(SB)/8, $0x0000000000000000
-DATA spanmask<>+152(SB)/8, $0x0000000000000000
-DATA spanmask<>+160(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+168(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+176(SB)/8, $0x00000000ffffffff
-DATA spanmask<>+184(SB)/8, $0x0000000000000000
-DATA spanmask<>+192(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+200(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+208(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+216(SB)/8, $0x0000000000000000
-DATA spanmask<>+224(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+232(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+240(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+248(SB)/8, $0x00000000ffffffff
-DATA spanmask<>+256(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+264(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+272(SB)/8, $0xffffffffffffffff
-DATA spanmask<>+280(SB)/8, $0xffffffffffffffff
-GLOBL spanmask<>(SB), RODATA, $288
+// rangemask<> row k (k = 0..8) has the first k dword lanes set; the
+// range [l0, l1) mask is row[l1] &^ row[l0].
+DATA rangemask<>+0(SB)/8, $0x0000000000000000
+DATA rangemask<>+8(SB)/8, $0x0000000000000000
+DATA rangemask<>+16(SB)/8, $0x0000000000000000
+DATA rangemask<>+24(SB)/8, $0x0000000000000000
+DATA rangemask<>+32(SB)/8, $0x00000000ffffffff
+DATA rangemask<>+40(SB)/8, $0x0000000000000000
+DATA rangemask<>+48(SB)/8, $0x0000000000000000
+DATA rangemask<>+56(SB)/8, $0x0000000000000000
+DATA rangemask<>+64(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+72(SB)/8, $0x0000000000000000
+DATA rangemask<>+80(SB)/8, $0x0000000000000000
+DATA rangemask<>+88(SB)/8, $0x0000000000000000
+DATA rangemask<>+96(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+104(SB)/8, $0x00000000ffffffff
+DATA rangemask<>+112(SB)/8, $0x0000000000000000
+DATA rangemask<>+120(SB)/8, $0x0000000000000000
+DATA rangemask<>+128(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+136(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+144(SB)/8, $0x0000000000000000
+DATA rangemask<>+152(SB)/8, $0x0000000000000000
+DATA rangemask<>+160(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+168(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+176(SB)/8, $0x00000000ffffffff
+DATA rangemask<>+184(SB)/8, $0x0000000000000000
+DATA rangemask<>+192(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+200(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+208(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+216(SB)/8, $0x0000000000000000
+DATA rangemask<>+224(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+232(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+240(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+248(SB)/8, $0x00000000ffffffff
+DATA rangemask<>+256(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+264(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+272(SB)/8, $0xffffffffffffffff
+DATA rangemask<>+280(SB)/8, $0xffffffffffffffff
+GLOBL rangemask<>(SB), RODATA, $288
 
-// func advanceSpanAVX2(b *particle.Block, cc *interp.Coeffs, con *laneConsts, out *laneVecs, s0, s1 int) uint32
-TEXT ·advanceSpanAVX2(SB), NOSPLIT, $0-52
+// GATHER loads coefficient byte offset off of every in-range lane's
+// interpolator, ip[voxel] = SI + 72·voxel = SI + 8·(9·voxel), into dst.
+// The gather consumes its mask, so it works on a copy of the range
+// mask; zeroing dst first breaks the merge dependency on its old value
+// and leaves 0 in the lanes outside the range.
+#define GATHER(off, dst) \
+	VXORPS     dst, dst, dst; \
+	VMOVDQU    Y10, Y11; \
+	VGATHERDPS Y11, off(SI)(Y9*8), dst
+
+// func advanceBlockAVX2(b *particle.Block, ip *interp.Coeffs, con *laneConsts, out *laneVecs, l0, l1 int) uint32
+TEXT ·advanceBlockAVX2(SB), NOSPLIT, $0-52
 	MOVQ b+0(FP), DI
-	MOVQ cc+8(FP), SI
+	MOVQ ip+8(FP), SI
 	MOVQ con+16(FP), R8
 	MOVQ out+24(FP), R9
-	MOVQ $spanmask<>(SB), R10
-	MOVQ s0+32(FP), R11
+	MOVQ $rangemask<>(SB), R10
+	MOVQ l0+32(FP), R11
 	SHLQ $5, R11
-	ADDQ R10, R11 // R11 = &spanmask[s0]
-	MOVQ s1+40(FP), CX
+	ADDQ R10, R11 // R11 = &rangemask[l0]
+	MOVQ l1+40(FP), CX
 	SHLQ $5, CX
-	ADDQ R10, CX  // CX = &spanmask[s1]
+	ADDQ R10, CX  // CX = &rangemask[l1]
 
 	VBROADCASTSS 0(R8), Y12 // qdt2mc
 
@@ -122,58 +140,67 @@ TEXT ·advanceSpanAVX2(SB), NOSPLIT, $0-52
 	VMOVUPS BDY(DI), Y1
 	VMOVUPS BDZ(DI), Y2
 
+	// Gather index voxel·9 (scale 8 makes it the 72-byte stride) and
+	// the range mask row[l1] &^ row[l0].
+	VMOVDQU BVOXEL(DI), Y9
+	VPSLLD  $3, Y9, Y10
+	VPADDD  Y9, Y10, Y9
+	VMOVDQU (R11), Y14
+	VMOVDQU (CX), Y10
+	VPANDN  Y10, Y14, Y10
+
 	// hax = qdt2mc * ((Ex0 + dy*DExDy) + dz*(DExDz + dy*D2ExDyDz))
-	VBROADCASTSS 4(SI), Y13  // DExDy
-	VMULPS       Y1, Y13, Y13
-	VBROADCASTSS 0(SI), Y14  // Ex0
-	VADDPS       Y13, Y14, Y13
-	VBROADCASTSS 12(SI), Y14 // D2ExDyDz
-	VMULPS       Y1, Y14, Y14
-	VBROADCASTSS 8(SI), Y15  // DExDz
-	VADDPS       Y14, Y15, Y14
-	VMULPS       Y2, Y14, Y14
-	VADDPS       Y14, Y13, Y13
-	VMULPS       Y13, Y12, Y3
+	GATHER(4, Y13)  // DExDy
+	VMULPS Y1, Y13, Y13
+	GATHER(0, Y14)  // Ex0
+	VADDPS Y13, Y14, Y13
+	GATHER(12, Y14) // D2ExDyDz
+	VMULPS Y1, Y14, Y14
+	GATHER(8, Y15)  // DExDz
+	VADDPS Y14, Y15, Y14
+	VMULPS Y2, Y14, Y14
+	VADDPS Y14, Y13, Y13
+	VMULPS Y13, Y12, Y3
 
 	// hay = qdt2mc * ((Ey0 + dz*DEyDz) + dx*(DEyDx + dz*D2EyDzDx))
-	VBROADCASTSS 20(SI), Y13 // DEyDz
-	VMULPS       Y2, Y13, Y13
-	VBROADCASTSS 16(SI), Y14 // Ey0
-	VADDPS       Y13, Y14, Y13
-	VBROADCASTSS 28(SI), Y14 // D2EyDzDx
-	VMULPS       Y2, Y14, Y14
-	VBROADCASTSS 24(SI), Y15 // DEyDx
-	VADDPS       Y14, Y15, Y14
-	VMULPS       Y0, Y14, Y14
-	VADDPS       Y14, Y13, Y13
-	VMULPS       Y13, Y12, Y4
+	GATHER(20, Y13) // DEyDz
+	VMULPS Y2, Y13, Y13
+	GATHER(16, Y14) // Ey0
+	VADDPS Y13, Y14, Y13
+	GATHER(28, Y14) // D2EyDzDx
+	VMULPS Y2, Y14, Y14
+	GATHER(24, Y15) // DEyDx
+	VADDPS Y14, Y15, Y14
+	VMULPS Y0, Y14, Y14
+	VADDPS Y14, Y13, Y13
+	VMULPS Y13, Y12, Y4
 
 	// haz = qdt2mc * ((Ez0 + dx*DEzDx) + dy*(DEzDy + dx*D2EzDxDy))
-	VBROADCASTSS 36(SI), Y13 // DEzDx
-	VMULPS       Y0, Y13, Y13
-	VBROADCASTSS 32(SI), Y14 // Ez0
-	VADDPS       Y13, Y14, Y13
-	VBROADCASTSS 44(SI), Y14 // D2EzDxDy
-	VMULPS       Y0, Y14, Y14
-	VBROADCASTSS 40(SI), Y15 // DEzDy
-	VADDPS       Y14, Y15, Y14
-	VMULPS       Y1, Y14, Y14
-	VADDPS       Y14, Y13, Y13
-	VMULPS       Y13, Y12, Y5
+	GATHER(36, Y13) // DEzDx
+	VMULPS Y0, Y13, Y13
+	GATHER(32, Y14) // Ez0
+	VADDPS Y13, Y14, Y13
+	GATHER(44, Y14) // D2EzDxDy
+	VMULPS Y0, Y14, Y14
+	GATHER(40, Y15) // DEzDy
+	VADDPS Y14, Y15, Y14
+	VMULPS Y1, Y14, Y14
+	VADDPS Y14, Y13, Y13
+	VMULPS Y13, Y12, Y5
 
 	// cb = CB0 + d*DCBdD
-	VBROADCASTSS 52(SI), Y13 // DCBxDx
-	VMULPS       Y0, Y13, Y13
-	VBROADCASTSS 48(SI), Y14 // CBx0
-	VADDPS       Y13, Y14, Y6
-	VBROADCASTSS 60(SI), Y13 // DCByDy
-	VMULPS       Y1, Y13, Y13
-	VBROADCASTSS 56(SI), Y14 // CBy0
-	VADDPS       Y13, Y14, Y7
-	VBROADCASTSS 68(SI), Y13 // DCBzDz
-	VMULPS       Y2, Y13, Y13
-	VBROADCASTSS 64(SI), Y14 // CBz0
-	VADDPS       Y13, Y14, Y8
+	GATHER(52, Y13) // DCBxDx
+	VMULPS Y0, Y13, Y13
+	GATHER(48, Y14) // CBx0
+	VADDPS Y13, Y14, Y6
+	GATHER(60, Y13) // DCByDy
+	VMULPS Y1, Y13, Y13
+	GATHER(56, Y14) // CBy0
+	VADDPS Y13, Y14, Y7
+	GATHER(68, Y13) // DCBzDz
+	VMULPS Y2, Y13, Y13
+	GATHER(64, Y14) // CBz0
+	VADDPS Y13, Y14, Y8
 
 	// ---- Stage B: both half kicks and the Boris rotation.
 	// dx,dy,dz (Y0-2) die here and become temps; they are reloaded
@@ -244,13 +271,13 @@ TEXT ·advanceSpanAVX2(SB), NOSPLIT, $0-52
 	VMULPS Y14, Y0, Y14
 	VADDPS Y14, Y11, Y11
 
-	// Second half kick; store the new momenta to span lanes only.
+	// Second half kick; store the new momenta to in-range lanes only.
 	VADDPS  Y3, Y9, Y9
 	VADDPS  Y4, Y10, Y10
 	VADDPS  Y5, Y11, Y11
 	VMOVDQU (R11), Y14
 	VMOVDQU (CX), Y15
-	VPANDN  Y15, Y14, Y14 // span mask = row[s1] &^ row[s0]
+	VPANDN  Y15, Y14, Y14 // range mask = row[l1] &^ row[l0]
 	VMASKMOVPS Y9, Y14, BUX(DI)
 	VMASKMOVPS Y10, Y14, BUY(DI)
 	VMASKMOVPS Y11, Y14, BUZ(DI)
@@ -301,16 +328,19 @@ TEXT ·advanceSpanAVX2(SB), NOSPLIT, $0-52
 	VPAND        Y8, Y13, Y10
 	VPSUBD       Y10, Y14, Y10
 	VPOR         Y10, Y9, Y9
-	VMOVMSKPS    Y9, AX // raw crosser bits (caller masks to the span)
+	VMOVMSKPS    Y9, AX // crosser bits, all 8 lanes
 
-	// Offset store mask: span lanes that did not cross.
+	// Offset store mask: in-range lanes that did not cross; the returned
+	// crosser bits are clipped to the range.
 	VMOVDQU (R11), Y14
 	VMOVDQU (CX), Y15
 	VPANDN  Y15, Y14, Y14
 	VPANDN  Y14, Y9, Y10
+	VMOVMSKPS Y14, BX
+	ANDL      BX, AX
 
 	// ---- Stage D: in-cell current contributions, full width; the
-	// caller accumulates span lanes in ascending order and discards
+	// caller accumulates in-range lanes in ascending order and discards
 	// crossers. mx,my,mz overwrite dx,dy,dz; hx,hy,hz overwrite dd.
 	VBROADCASTSS half<>(SB), Y13
 	VMULPS       Y13, Y3, Y3
@@ -407,7 +437,7 @@ TEXT ·advanceSpanAVX2(SB), NOSPLIT, $0-52
 	VADDPS  Y12, Y9, Y9
 	VMOVUPS Y9, OC+352(R9)
 
-	// Commit the new offsets of the in-span, non-crossing lanes.
+	// Commit the new offsets of the in-range, non-crossing lanes.
 	VMASKMOVPS Y6, Y10, BDX(DI)
 	VMASKMOVPS Y7, Y10, BDY(DI)
 	VMASKMOVPS Y8, Y10, BDZ(DI)

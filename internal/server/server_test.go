@@ -103,6 +103,23 @@ func waitState(t *testing.T, ts *httptest.Server, id string, want State) Job {
 	return Job{}
 }
 
+// waitStep polls until the running job id reports at least step done.
+func waitStep(t *testing.T, ts *httptest.Server, id string, step int) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		j := getStatus(t, ts, id)
+		if j.Progress.Step >= step {
+			return
+		}
+		if j.State.Terminal() {
+			t.Fatalf("job %s reached %s (error %q) before step %d", id, j.State, j.Error, step)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("job %s never reached step %d", id, step)
+}
+
 func getResult(t *testing.T, ts *httptest.Server, id string) Result {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
@@ -222,6 +239,10 @@ func TestBackpressureAndCancel(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(reqB); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel queued: %v HTTP %d", err, resp.StatusCode)
 	}
+	// The runner publishes StateRunning before its first step, and a
+	// cancel that lands in that window legitimately stops at step 0, so
+	// wait for a completed step before asserting on progress.
+	waitStep(t, ts, srA.Jobs[0].ID, 1)
 	reqA, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+srA.Jobs[0].ID, nil)
 	if resp, err := http.DefaultClient.Do(reqA); err != nil || resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("cancel running: %v HTTP %d", err, resp.StatusCode)

@@ -336,7 +336,8 @@ func checkGeometry(hd *cpHeader, cfg *Config) error {
 
 // particleCheck refuses a decoded particle that could not have been
 // written by a simulation on its grid: the voxel must be an interior
-// cell and the offsets, momenta and weight finite. The CRC trailer
+// cell, the offsets within the cell ([-1, 1], the paper's particle
+// format) and the momenta and weight finite. The CRC trailer
 // only proves the bytes arrived as written; a well-formed file can
 // still carry a voxel that would index outside the interpolator table
 // on the first step. Interior cells are tabulated once per grid so the
@@ -359,10 +360,15 @@ func (pc particleCheck) check(p *particle.Particle) error {
 	if v := int(p.Voxel); v < 0 || v >= len(pc.interior) || !pc.interior[v] {
 		return fmt.Errorf("core: checkpoint particle in voxel %d, not an interior cell of the %d-voxel grid", p.Voxel, len(pc.interior))
 	}
+	for _, d := range [...]float32{p.Dx, p.Dy, p.Dz} {
+		if !(d >= -1 && d <= 1) { // NaN fails both
+			return fmt.Errorf("core: checkpoint particle in voxel %d has an offset outside [-1, 1] %+v", p.Voxel, *p)
+		}
+	}
 	const exp = 0x7f800000 // all-ones exponent: Inf or NaN
-	for _, x := range [...]float32{p.Dx, p.Dy, p.Dz, p.Ux, p.Uy, p.Uz, p.W} {
+	for _, x := range [...]float32{p.Ux, p.Uy, p.Uz, p.W} {
 		if math.Float32bits(x)&exp == exp {
-			return fmt.Errorf("core: checkpoint particle in voxel %d has a non-finite offset, momentum or weight %+v", p.Voxel, *p)
+			return fmt.Errorf("core: checkpoint particle in voxel %d has a non-finite momentum or weight %+v", p.Voxel, *p)
 		}
 	}
 	return nil

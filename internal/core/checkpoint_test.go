@@ -126,8 +126,9 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 // TestRestoreRejectsBadParticles: a checkpoint whose CRC is valid but
 // which carries a particle no simulation could have written — a voxel
 // outside the table (which would index out of range on the first
-// push), a ghost voxel, a non-finite momentum or weight — must fail
-// Restore with an error instead of panicking in Step.
+// push), a ghost voxel, an offset outside the cell, a non-finite
+// momentum or weight — must fail Restore with an error instead of
+// panicking in Step.
 func TestRestoreRejectsBadParticles(t *testing.T) {
 	cfg := periodicPlasma(16, 0.2, 0.05, 8, 1)
 	for _, c := range []struct {
@@ -140,6 +141,9 @@ func TestRestoreRejectsBadParticles(t *testing.T) {
 		{"ghost voxel", func(p *particle.Particle) { p.Voxel = 0 }, "interior"},
 		{"NaN momentum", func(p *particle.Particle) { p.Uy = float32(math.NaN()) }, "non-finite"},
 		{"infinite weight", func(p *particle.Particle) { p.W = float32(math.Inf(1)) }, "non-finite"},
+		{"offset 1.5", func(p *particle.Particle) { p.Dy = 1.5 }, "outside [-1, 1]"},
+		{"offset below -1", func(p *particle.Particle) { p.Dz = -1.0000001 }, "outside [-1, 1]"},
+		{"NaN offset", func(p *particle.Particle) { p.Dx = float32(math.NaN()) }, "outside [-1, 1]"},
 	} {
 		src, err := New(cfg)
 		if err != nil {

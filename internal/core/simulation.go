@@ -233,13 +233,14 @@ func newRank(cfg *Config, dcfg domain.Config, comm *mp.Comm) (*Rank, error) {
 		rk.bufs[i] = sp.Buf
 	}
 	// Pre-size hot-path scratch (movers, outgoing faces, per-block
-	// mover lists) so steady-state steps allocate nothing.
+	// mover and pending lists) so steady-state steps allocate nothing.
 	for i, sp := range rk.Species {
 		n := sp.Buf.N()
 		rk.Kernels[i].Prealloc(n/16+64, n/64+16)
 	}
 	for _, bs := range rk.blockSt {
 		bs.Movers = make([]particle.Mover, 0, 1024)
+		bs.Pending = make([]push.Pending, 0, 256)
 	}
 	// Boundary-first push applies whenever a neighbor exists (every
 	// multi-rank decomposition gives each rank at least one remote
@@ -465,7 +466,7 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 				lo, hi := pipe.AlignedRange(0, n, pipe.NumBlocks, b, particle.Lanes)
 				k.AdvanceBlock(buf, lo, hi, rk.pipeAcc[b], bs)
 			})
-			k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
+			k.FinishBlocks(buf, rk.blockSt)
 		}
 		// Zeroes rk.Acc's stale window before summing, so immigrants
 		// finishing their move deposit on top during the exchange.
@@ -498,7 +499,7 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 				lo, hi := pipe.AlignedRange(ni, ni+nb, pipe.NumBlocks, b, particle.Lanes)
 				k.AdvanceBlock(buf, lo, hi, rk.pipeAcc[b], bs)
 			})
-			k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
+			k.FinishBlocks(buf, rk.blockSt)
 		}
 		rk.Perf.Stop(perf.Push)
 		rk.Perf.Start(perf.Comm)
@@ -515,7 +516,7 @@ func (rk *Rank) stepOnce(cfg *Config, tNow float64, step int, doClean bool) {
 				lo, hi := pipe.AlignedRange(0, ni, pipe.NumBlocks, b, particle.Lanes)
 				k.AdvanceBlock(buf, lo, hi, rk.pipeAcc[b], bs)
 			})
-			k.FinishBlocks(buf, rk.blockSt, rk.pipeAcc)
+			k.FinishBlocks(buf, rk.blockSt)
 		}
 		// Zeroes rk.Acc's stale window before summing, so immigrants
 		// finishing their move deposit on top during the exchange.

@@ -46,8 +46,8 @@ func TestAsmSpanMaskAllRanges(t *testing.T) {
 					rg, kg := mk()
 					ka.Asm = true
 					var bsA, bsG BlockState
-					ka.advance(ra.buf, lo, hi, ra.acc, &bsA)
-					kg.advance(rg.buf, lo, hi, rg.acc, &bsG)
+					ka.AdvanceBlock(ra.buf, lo, hi, ra.acc, &bsA)
+					kg.AdvanceBlock(rg.buf, lo, hi, rg.acc, &bsG)
 					label := fmt.Sprintf("mixed=%v n=%d range [%d,%d)", mixed, n, lo, hi)
 					for i := 0; i < n; i++ {
 						if !bitEqParticle(ra.buf.At(i), rg.buf.At(i)) {

@@ -17,7 +17,7 @@ import (
 // every comparison here is on bit patterns (plain float comparison
 // would wrongly flag identical NaNs as diverged; the populations
 // deliberately include NaN-position and NaN-momentum particles, which
-// the crosser mask must flag and moveP's backstop must handle the
+// the crosser mask must flag and the mover walk must handle the
 // same way on both kernels).
 
 func bitEq32(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
@@ -98,7 +98,7 @@ func poisonTail(buf *particle.Buffer) {
 // matrix — a partially filled trailing block (for n+11 not a multiple
 // of 8) and one block whose every lane crosses on the first step —
 // plus NaN-position and NaN-momentum particles, which both kernels
-// must defer to moveP identically, in the given order.
+// must defer to the mover walk identically, in the given order.
 func asmParityRig(n int, seed uint64, order int) (*rig, *Kernel) {
 	r := newRig(6, 5, 4, 0.5)
 	r.smoothFields(0.3)
@@ -283,10 +283,10 @@ func TestAsmBadVoxelPanicsInGo(t *testing.T) {
 	}
 }
 
-// TestAsmKernelMoverParity compares the recorded (unfinished) movers of
-// AdvanceBlock directly — index order, displacements, bit patterns —
-// before any moveP runs, isolating the crosser mask and displacement
-// stage from the shared mover machinery.
+// TestAsmKernelMoverParity compares the mover records AdvanceBlock's
+// sweep leaves in bs.Movers — index order, displacements, bit patterns
+// as the sweep wrote them, before the walk — isolating the crosser mask
+// and displacement stage from the shared mover machinery.
 func TestAsmKernelMoverParity(t *testing.T) {
 	if !AsmAvailable() {
 		t.Skip("assembly kernel unavailable on this build/CPU")

@@ -31,7 +31,7 @@
 //     and-branches); a second lane loop then scatters the common
 //     in-cell lanes into the run's register cell in ascending lane
 //     order, and only lanes flagged in the bitmask are deferred to the
-//     moveP machinery.
+//     mover walk.
 //   - The scalar kernel (Kernel.Lanes = 1) is the pre-lane fused sweep,
 //     one particle per iteration, kept as the selectable oracle
 //     (cmd/vpic -lanes=1).
@@ -53,13 +53,15 @@
 // one sweep over the buffer depositing into the kernel's accumulator.
 // AdvanceBlock/FinishBlocks is the pipelined path mirroring the paper's
 // SPE decomposition: contiguous particle ranges are pushed concurrently,
-// each scattering into a private accumulator and recording (not
-// finishing) its face-crossing particles; FinishBlocks then completes
-// every recorded mover serially in globally descending index order —
-// the exact order the serial path uses — so the particle state it
-// produces is bitwise identical to AdvanceP for any worker count. (The
-// ELost energy tally alone is a float64 sum of per-block partial sums,
-// so it matches the serial chain to rounding, not bitwise.)
+// each scattering into a private accumulator and then walking its own
+// face-crossing particles (move_p) in descending index order. A walk
+// that ends in a removal (Absorb, Migrate, the segment bound) or a draw
+// from a shared reflux stream leaves a Pending record; FinishBlocks
+// applies them serially in globally descending index order — the order
+// the serial path uses — so particles, outgoing buffers and reflux draws
+// are bitwise identical to AdvanceP for any worker count. (The ELost
+// tally alone is a float64 sum of per-block partial sums, so it matches
+// the serial chain to rounding, not bitwise.)
 package push
 
 import (
@@ -171,13 +173,26 @@ type OutgoingBatch []Outgoing
 // PayloadBytes sizes the batch for transport accounting.
 func (b OutgoingBatch) PayloadBytes() int { return OutgoingWireBytes * len(b) }
 
+// Pending is a mover whose walk ended on an order-dependent action,
+// left for FinishBlocks to apply: Act is Absorb (also used for a walk
+// that hit the segment bound), Migrate or the reflux sentinel. The
+// embedded Outgoing holds the particle as the walk left it and, for
+// Migrate, its remaining displacement.
+type Pending struct {
+	Outgoing
+	Idx  int32
+	Act  Action
+	Face uint8
+}
+
 // BlockState holds one pipeline block's private push state: the movers
-// recorded during the concurrent phase and the statistics counters of
-// everything the block pushed. Kernel totals are the sum over blocks
-// (MergeStats), so per-block counters add up to exactly the serial
-// values.
+// recorded during the concurrent phase, the pending records their walks
+// left, and the statistics counters of everything the block pushed.
+// Kernel totals are the sum over blocks (MergeStats), so per-block
+// counters add up to exactly the serial values.
 type BlockState struct {
 	Movers  []particle.Mover
+	Pending []Pending
 	NMoved  int64
 	NSeg    int64
 	NLost   int64
@@ -186,9 +201,9 @@ type BlockState struct {
 	ELost   float64
 }
 
-// Reset clears the movers and zeroes the counters, keeping capacity.
+// Reset clears the movers, pending records and counters, keeping capacity.
 func (b *BlockState) Reset() {
-	b.Movers = b.Movers[:0]
+	b.Movers, b.Pending = b.Movers[:0], b.Pending[:0]
 	b.NMoved, b.NSeg, b.NLost, b.NPushed, b.NRuns, b.ELost = 0, 0, 0, 0, 0, 0
 }
 
@@ -213,9 +228,9 @@ type Kernel struct {
 	// (XLo,XHi,YLo,YHi,ZLo,ZHi).
 	Bound [6]Action
 	// Out collects migrating particles per face; the domain layer drains
-	// it each step. Movers are always finished serially (AdvanceP and
-	// FinishBlocks both run them in descending index order), so these
-	// buffers fill in the same deterministic order on every path.
+	// it each step. Migrations are always applied serially in descending
+	// index order (AdvanceP and FinishBlocks alike), so these buffers
+	// fill in the same deterministic order on every path.
 	Out [6][]Outgoing
 	// reflux holds per-face re-emission parameters when EnableReflux has
 	// switched a face to a thermally refluxing wall.
@@ -257,13 +272,16 @@ func NewKernel(g *grid.Grid, ip *interp.Table, acc *accum.Array, q, m, dt float6
 }
 
 // Prealloc pre-sizes the kernel's reusable hot-path buffers — the serial
-// mover list and the per-face outgoing buffers — so a steady-state step
-// performs no allocations. nMovers bounds the expected face-crossers of
-// one step and nOut the expected emigrants per face; both grow on demand
-// if exceeded.
+// mover and pending lists and the per-face outgoing buffers — so a
+// steady-state step performs no allocations. nMovers bounds the expected
+// face-crossers of one step and nOut the expected emigrants per face
+// (and pending records); all grow on demand if exceeded.
 func (k *Kernel) Prealloc(nMovers, nOut int) {
 	if cap(k.serial.Movers) < nMovers {
 		k.serial.Movers = make([]particle.Mover, 0, nMovers)
+	}
+	if cap(k.serial.Pending) < nOut {
+		k.serial.Pending = make([]Pending, 0, nOut)
 	}
 	for f := range k.Out {
 		if cap(k.Out[f]) < nOut {
@@ -340,58 +358,69 @@ func (k *Kernel) ClearOutgoing() {
 func (k *Kernel) AdvanceP(buf *particle.Buffer) {
 	bs := &k.serial
 	bs.Reset()
-	k.advance(buf, 0, buf.N(), k.Acc, bs)
-	bs.NMoved += int64(len(bs.Movers))
-
-	// Finish boundary-crossing particles in descending index order so
-	// that swap-removals never disturb an unprocessed mover.
-	for m := len(bs.Movers) - 1; m >= 0; m-- {
-		mv := bs.Movers[m]
-		k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, k.Acc, bs)
-	}
-	k.MergeStats(bs)
+	k.AdvanceBlock(buf, 0, buf.N(), k.Acc, bs)
+	k.FinishBlocks(buf, []*BlockState{bs})
 }
 
 // AdvanceBlock pushes particles [lo, hi) of buf — one pipeline block —
-// scattering in-cell current into acc and recording (not finishing)
-// face-crossing particles in bs.Movers. It never reorders the buffer,
-// reads only shared immutable state (interpolators, grid), and writes
-// only lanes lo..hi-1, acc and bs, so disjoint ranges with private
-// acc/bs are safe to run concurrently (lanes are distinct words even
-// when two ranges share a particle.Block). Call FinishBlocks afterwards
-// to complete the recorded movers.
+// scattering in-cell current into acc, then walks the block's face-
+// crossing particles (recorded in bs.Movers) through their cell
+// crossings in descending index order, depositing into acc. Walks that
+// end on an order-dependent action leave a record in bs.Pending instead
+// of acting. It never reorders the buffer, reads only shared immutable
+// state (interpolators, grid, face actions), and writes only lanes
+// lo..hi-1, acc and bs, so disjoint ranges with private acc/bs are safe
+// to run concurrently (lanes are distinct words even when two ranges
+// share a particle.Block). Call FinishBlocks afterwards to apply the
+// pending records.
 func (k *Kernel) AdvanceBlock(buf *particle.Buffer, lo, hi int, acc *accum.Array, bs *BlockState) {
-	k.advance(buf, lo, hi, acc, bs)
-}
-
-// advance dispatches one range sweep to the selected kernel shape.
-func (k *Kernel) advance(buf *particle.Buffer, lo, hi int, a *accum.Array, bs *BlockState) {
 	switch {
 	case k.Lanes > 1 && k.Asm:
-		k.advanceRangeLanesAsm(buf, lo, hi, a, bs)
+		k.advanceRangeLanesAsm(buf, lo, hi, acc, bs)
 	case k.Lanes > 1:
-		k.advanceRangeLanes(buf, lo, hi, a, bs)
+		k.advanceRangeLanes(buf, lo, hi, acc, bs)
 	default:
-		k.advanceRange(buf, lo, hi, a, bs)
+		k.advanceRange(buf, lo, hi, acc, bs)
+	}
+	k.walkMovers(buf, acc, bs)
+}
+
+// walkMovers walks every recorded mover of bs in descending index order
+// (see walk), depositing into a.
+func (k *Kernel) walkMovers(buf *particle.Buffer, a *accum.Array, bs *BlockState) {
+	bs.NMoved += int64(len(bs.Movers))
+	for m := len(bs.Movers) - 1; m >= 0; m-- {
+		mv := bs.Movers[m]
+		k.walk(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, a, bs)
 	}
 }
 
-// FinishBlocks completes the movers recorded by AdvanceBlock: blocks
-// are processed last to first and each block's movers last to first,
-// i.e. globally descending particle index — the same sequence of moveP
-// calls the serial AdvanceP makes, so swap-removals stay safe and the
-// resulting particle state is bitwise identical to the serial path.
-// Each block's segment currents deposit into its own accumulator
-// (accs[b]) and its counters land in blocks[b] before being merged into
-// the kernel totals.
-func (k *Kernel) FinishBlocks(buf *particle.Buffer, blocks []*BlockState, accs []*accum.Array) {
+// FinishBlocks applies the pending records left by AdvanceBlock: blocks
+// last to first and each block's records in order, i.e. globally
+// descending particle index — the sequence of removals, outgoing
+// appends and reflux draws the serial AdvanceP makes, so swap-removals
+// never disturb a particle still to be acted on and the resulting state
+// is bitwise identical to the serial path. The block counters are then
+// merged into the kernel totals.
+func (k *Kernel) FinishBlocks(buf *particle.Buffer, blocks []*BlockState) {
 	for b := len(blocks) - 1; b >= 0; b-- {
-		bs := blocks[b]
-		bs.NMoved += int64(len(bs.Movers))
-		a := accs[b]
-		for m := len(bs.Movers) - 1; m >= 0; m-- {
-			mv := bs.Movers[m]
-			k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, a, bs)
+		for i := range blocks[b].Pending {
+			p := &blocks[b].Pending[i]
+			switch p.Act {
+			case refluxAction:
+				// Thermal wall: re-emit at the wall with flux-weighted
+				// inward momentum; the walk already spent the rest of the
+				// step.
+				axis, dir := int(p.Face)/2, int(p.Face)%2*2-1
+				pt := p.P
+				pt.Ux, pt.Uy, pt.Uz = drawReflux(k.reflux[p.Face], axis, float32(-dir))
+				buf.Set(int(p.Idx), pt)
+			case Migrate:
+				k.Out[p.Face] = append(k.Out[p.Face], p.Outgoing)
+				buf.RemoveSwap(int(p.Idx))
+			default: // Absorb
+				buf.RemoveSwap(int(p.Idx))
+			}
 		}
 	}
 	for _, bs := range blocks {
@@ -499,8 +528,8 @@ func (k *Kernel) advanceRange(buf *particle.Buffer, lo, hi int, a *accum.Array, 
 
 // oneBits is math.Float32bits(1.0); for finite floats |x| > 1 exactly
 // when the sign-cleared bit pattern exceeds it, and NaN patterns always
-// do — matching the scalar path, which also sends NaN offsets to moveP
-// (where the absorb backstop removes them).
+// do — matching the scalar path, which also sends NaN offsets to the
+// mover walk.
 const oneBits = 0x3f800000
 
 // advanceRangeLanes is the wide-lane sweep over particles [lo, hi): one
@@ -776,13 +805,14 @@ func (k *Kernel) scatterCell(c *accum.Cell, w, dx, dy, dz, ddx, ddy, ddz float32
 	c.JZ[3] += qh*(1+mx)*(1+my) + v5
 }
 
-// moveP finishes a boundary-crossing particle: it splits the remaining
-// displacement at each cell face, deposits per-segment current into a,
-// and applies the face action when the particle leaves the local
-// interior. The particle is gathered from its lane into a register copy
-// for the segment walk and scattered back at the end; it may instead be
-// removed from buf (Absorb/Migrate). Statistics land in bs.
-func (k *Kernel) moveP(buf *particle.Buffer, i int, ddx, ddy, ddz float32, a *accum.Array, bs *BlockState) {
+// walk moves a boundary-crossing particle through its cell crossings:
+// it splits the remaining displacement at each cell face, deposits
+// per-segment current into a, and handles interior crossings, Wrap and
+// Reflect in place. The particle is gathered into a register copy and
+// scattered back at the end, unless the walk ends on Absorb, Migrate, a
+// reflux wall or the segment bound: then it records a Pending instead.
+// Statistics land in bs.
+func (k *Kernel) walk(buf *particle.Buffer, i int, ddx, ddy, ddz float32, a *accum.Array, bs *BlockState) {
 	g := k.G
 	sx, sy, _ := g.Strides()
 	strides := [3]int{1, sx, sx * sy}
@@ -826,37 +856,26 @@ func (k *Kernel) moveP(buf *particle.Buffer, i int, ddx, ddy, ddz float32, a *ac
 		next := coord[axis] + dir
 		rem := [3]float32{ddx, ddy, ddz}
 
-		switch {
-		case next >= 1 && next <= n[axis]:
+		if next >= 1 && next <= n[axis] {
 			// Interior crossing: enter the neighbor cell from its far side.
 			pt.Voxel += int32(dir * strides[axis])
 			setOffset(&pt, axis, float32(-dir))
-		default:
+		} else {
 			face := 2*axis + (dir+1)/2
-			switch k.Bound[face] {
+			switch act := k.Bound[face]; act {
 			case Wrap:
 				pt.Voxel += int32(-dir * (n[axis] - 1) * strides[axis])
 				setOffset(&pt, axis, float32(-dir))
 			case Reflect:
 				flipU(&pt, axis)
 				rem[axis] = -rem[axis]
-			case refluxAction:
-				// Thermal wall: re-emit at the wall with flux-weighted
-				// inward momentum; the remainder of this step is spent.
-				pt.Ux, pt.Uy, pt.Uz = drawReflux(k.reflux[face], axis, float32(-dir))
-				rem = [3]float32{}
-			case Absorb:
-				bs.NLost++
-				bs.ELost += k.kinetic(&pt)
-				buf.RemoveSwap(i)
-				return
-			case Migrate:
-				// Hand the particle over already flipped onto the entering
-				// side; the receiver only remaps Voxel.
-				setOffset(&pt, axis, float32(-dir))
-				out := Outgoing{P: pt, DispX: rem[0], DispY: rem[1], DispZ: rem[2]}
-				k.Out[face] = append(k.Out[face], out)
-				buf.RemoveSwap(i)
+			default:
+				if act == Migrate {
+					// Hand the particle over already flipped onto the
+					// entering side; the receiver only remaps Voxel.
+					setOffset(&pt, axis, float32(-dir))
+				}
+				k.pend(bs, i, pt, rem, act, face)
 				return
 			}
 		}
@@ -868,9 +887,20 @@ func (k *Kernel) moveP(buf *particle.Buffer, i int, ddx, ddy, ddz float32, a *ac
 	}
 	// A particle needing more than maxSeg segments indicates dt far above
 	// CFL or corrupted state; absorb it rather than corrupt memory.
-	bs.NLost++
-	bs.ELost += k.kinetic(&pt)
-	buf.RemoveSwap(i)
+	k.pend(bs, i, pt, [3]float32{}, Absorb, 0)
+}
+
+// pend records a walk's order-dependent end. An absorbed particle's
+// loss is tallied here, in the block's walk order.
+func (k *Kernel) pend(bs *BlockState, i int, pt particle.Particle, rem [3]float32, act Action, face int) {
+	if act == Absorb {
+		bs.NLost++
+		bs.ELost += k.kinetic(&pt)
+	}
+	bs.Pending = append(bs.Pending, Pending{
+		Outgoing: Outgoing{P: pt, DispX: rem[0], DispY: rem[1], DispZ: rem[2]},
+		Idx:      int32(i), Act: act, Face: uint8(face),
+	})
 }
 
 // kinetic returns w·m·(γ−1) of one particle in double precision.
@@ -889,9 +919,10 @@ func (k *Kernel) FinishMove(buf *particle.Buffer, in Outgoing) {
 	buf.Append(in.P)
 	i := buf.N() - 1
 	if in.DispX != 0 || in.DispY != 0 || in.DispZ != 0 {
-		var bs BlockState
-		k.moveP(buf, i, in.DispX, in.DispY, in.DispZ, k.Acc, &bs)
-		k.MergeStats(&bs)
+		bs := &k.serial
+		bs.Reset()
+		k.walk(buf, i, in.DispX, in.DispY, in.DispZ, k.Acc, bs)
+		k.FinishBlocks(buf, []*BlockState{bs})
 	}
 }
 

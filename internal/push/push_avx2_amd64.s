@@ -2,7 +2,8 @@
 
 // AVX2 block kernel for the AoSoA particle push: all three staged lane
 // loops of advanceRangeLanes fused into one straight-line vector
-// routine over the lanes [l0, l1) of a single 256-byte particle.Block.
+// routine over the lanes [l0, l1) of a single 256-byte particle.Block,
+// followed by the in-cell current accumulation of the block's lanes.
 // The 8 lanes of the block are the 8 float32 lanes of a YMM register,
 // so each "lane loop" of the Go kernel collapses into a handful of
 // vector instructions. Each lane reads its own voxel's interpolator:
@@ -22,9 +23,14 @@
 // gathers are masked to [l0, l1), so the voxel of a lane outside the
 // range is never used as an address; stores are masked so lanes
 // outside the range, and the pre-step offsets of crossing lanes, are
-// never written. The caller performs the ordered scalar accumulation
-// of the per-lane current contributions, so the run cell's addition
-// chains stay exactly the scalar sweep's.
+// never written. The accumulation (stage E) adds each in-range,
+// non-crossing lane's twelve contributions into its voxel's
+// accumulator cell in ascending lane order, with the cell sum as first
+// operand of every add: per slot, the addition chain of the Go
+// kernels' run cell, which is loaded from the array at run start and
+// stored at run end with nothing else writing the cell in between.
+// Crossing lanes are skipped, not added as zeros (−0 + +0 is +0). The
+// caller bounds-checks every in-range voxel against both tables first.
 //
 // Register plan (stages; Y12 = broadcast qdt2mc through stage B):
 //   A gather:  Y0-2 dx,dy,dz  Y9 voxel·9  Y10 range mask  Y11 mask copy
@@ -35,6 +41,9 @@
 //              Y9 crosser vector -> AX bitmask, Y10 offset store mask
 //   D scatter: Y0-2 mx,my,mz  Y3-5 hx,hy,hz  Y11 qw  Y12 v5
 //              Y13 1.0  Y14 qh  Y9/Y15 temps -> out.c[0..11]
+//   E accum:   DX lanes to add  SI accumulator  R12 &out.sink
+//              Y10-13 slots 8-11 by lane pair  Y0-3 slots 0-7 by lane
+//              CX cell address  Y4/X5 cell sums
 
 #include "textflag.h"
 
@@ -53,6 +62,7 @@
 #define ODDY 32
 #define ODDZ 64
 #define OC 96
+#define OSINK 480
 
 DATA one<>+0(SB)/4, $0x3f800000 // float32(1); also the crosser oneBits
 GLOBL one<>(SB), RODATA, $4
@@ -119,17 +129,57 @@ GLOBL rangemask<>(SB), RODATA, $288
 	VMOVDQU    Y10, Y11; \
 	VGATHERDPS Y11, off(SI)(Y9*8), dst
 
-// func advanceBlockAVX2(b *particle.Block, ip *interp.Coeffs, con *laneConsts, out *laneVecs, l0, l1 int) uint32
-TEXT ·advanceBlockAVX2(SB), NOSPLIT, $0-52
+// ROWS(h) transposes slots 0-7 of one half of the lanes from out.c
+// into Y0-3, one lane per register: h = 0 takes lanes 0-3, h = 16 (the
+// byte offset of lane 4) lanes 4-7; Y0 then holds the half's first
+// lane's JX0..3 and JY0..3, Y1 the second lane's, and so on.
+#define ROWS(h) \
+	VMOVUPS     OC+0+h(R9), X0; \
+	VINSERTF128 $1, OC+128+h(R9), Y0, Y0; \
+	VMOVUPS     OC+32+h(R9), X1; \
+	VINSERTF128 $1, OC+160+h(R9), Y1, Y1; \
+	VMOVUPS     OC+64+h(R9), X2; \
+	VINSERTF128 $1, OC+192+h(R9), Y2, Y2; \
+	VMOVUPS     OC+96+h(R9), X3; \
+	VINSERTF128 $1, OC+224+h(R9), Y3, Y3; \
+	VUNPCKLPS   Y1, Y0, Y4; \
+	VUNPCKHPS   Y1, Y0, Y5; \
+	VUNPCKLPS   Y3, Y2, Y6; \
+	VUNPCKHPS   Y3, Y2, Y7; \
+	VSHUFPS     $0x44, Y6, Y4, Y0; \
+	VSHUFPS     $0xee, Y6, Y4, Y1; \
+	VSHUFPS     $0x44, Y7, Y5, Y2; \
+	VSHUFPS     $0xee, Y7, Y5, Y3
+
+// LANE(voff, l, row, srow) adds lane l's row (slots 0-7) and srow
+// (slots 8-11) into the cell of the voxel at block offset voff, or into
+// out.sink (R12) when bit l of DX is clear. The cell sum is the first
+// operand of each add, as in the Go kernels' `sum += contribution`.
+#define LANE(voff, l, row, srow) \
+	MOVL    voff(DI), CX; \
+	LEAQ    (CX)(CX*2), CX; \
+	SHLQ    $4, CX; \
+	ADDQ    SI, CX; \
+	BTL     $l, DX; \
+	CMOVQCC R12, CX; \
+	VMOVUPS (CX), Y4; \
+	VADDPS  row, Y4, Y4; \
+	VMOVUPS Y4, (CX); \
+	VMOVUPS 32(CX), X5; \
+	VADDPS  srow, X5, X5; \
+	VMOVUPS X5, 32(CX)
+
+// func advanceBlockAVX2(b *particle.Block, ip *interp.Coeffs, ac *accum.Cell, con *laneConsts, out *laneVecs, l0, l1 int) uint32
+TEXT ·advanceBlockAVX2(SB), NOSPLIT, $0-60
 	MOVQ b+0(FP), DI
 	MOVQ ip+8(FP), SI
-	MOVQ con+16(FP), R8
-	MOVQ out+24(FP), R9
+	MOVQ con+24(FP), R8
+	MOVQ out+32(FP), R9
 	MOVQ $rangemask<>(SB), R10
-	MOVQ l0+32(FP), R11
+	MOVQ l0+40(FP), R11
 	SHLQ $5, R11
 	ADDQ R10, R11 // R11 = &rangemask[l0]
-	MOVQ l1+40(FP), CX
+	MOVQ l1+48(FP), CX
 	SHLQ $5, CX
 	ADDQ R10, CX  // CX = &rangemask[l1]
 
@@ -339,9 +389,9 @@ TEXT ·advanceBlockAVX2(SB), NOSPLIT, $0-52
 	VMOVMSKPS Y14, BX
 	ANDL      BX, AX
 
-	// ---- Stage D: in-cell current contributions, full width; the
-	// caller accumulates in-range lanes in ascending order and discards
-	// crossers. mx,my,mz overwrite dx,dy,dz; hx,hy,hz overwrite dd.
+	// ---- Stage D: in-cell current contributions, full width, spilled
+	// to out.c for stage E, which adds only the in-range non-crossers.
+	// mx,my,mz overwrite dx,dy,dz; hx,hy,hz overwrite dd.
 	VBROADCASTSS half<>(SB), Y13
 	VMULPS       Y13, Y3, Y3
 	VMULPS       Y13, Y4, Y4
@@ -441,7 +491,55 @@ TEXT ·advanceBlockAVX2(SB), NOSPLIT, $0-52
 	VMASKMOVPS Y6, Y10, BDX(DI)
 	VMASKMOVPS Y7, Y10, BDY(DI)
 	VMASKMOVPS Y8, Y10, BDZ(DI)
+	MOVL       AX, ret+56(FP)
 
-	MOVL AX, ret+48(FP)
+	// ---- Stage E: accumulate the in-range non-crossers (BX &^ AX) in
+	// ascending lane order. The contributions are transposed to one
+	// row per lane (slots 0-7 in a YMM, slots 8-11 in an XMM), and each
+	// lane does a load/add/store of its 48-byte cell. A lane that must
+	// not add is pointed at out.sink instead, so the sequence has no
+	// data-dependent branch; lanes sharing a voxel chain through the
+	// store exactly as the Go run cell chains through its registers.
+	MOVQ ac+16(FP), SI
+	LEAQ OSINK(R9), R12
+	MOVL AX, DX
+	NOTL DX
+	ANDL BX, DX
+	JZ   done
+
+	// Slots 8-11: S04 (Y10) holds lane 0's four in its low half and
+	// lane 4's in its high half; S15 (Y11), S26 (Y12), S37 (Y13) alike.
+	VMOVUPS   OC+256(R9), Y8
+	VMOVUPS   OC+288(R9), Y9
+	VMOVUPS   OC+320(R9), Y10
+	VMOVUPS   OC+352(R9), Y11
+	VUNPCKLPS Y9, Y8, Y12
+	VUNPCKLPS Y11, Y10, Y13
+	VUNPCKHPS Y9, Y8, Y8
+	VUNPCKHPS Y11, Y10, Y9
+	VSHUFPS   $0x44, Y13, Y12, Y10
+	VSHUFPS   $0xee, Y13, Y12, Y11
+	VSHUFPS   $0x44, Y9, Y8, Y12
+	VSHUFPS   $0xee, Y9, Y8, Y13
+
+	// Slots 0-7 of lanes 0-3 (half 0) into Y0-3, then add.
+	ROWS(0)
+	LANE(96, 0, Y0, X10)
+	LANE(100, 1, Y1, X11)
+	LANE(104, 2, Y2, X12)
+	LANE(108, 3, Y3, X13)
+
+	// Lanes 4-7.
+	ROWS(16)
+	VEXTRACTF128 $1, Y10, X10
+	VEXTRACTF128 $1, Y11, X11
+	VEXTRACTF128 $1, Y12, X12
+	VEXTRACTF128 $1, Y13, X13
+	LANE(112, 4, Y0, X10)
+	LANE(116, 5, Y1, X11)
+	LANE(120, 6, Y2, X12)
+	LANE(124, 7, Y3, X13)
+
+done:
 	VZEROUPPER
 	RET

@@ -29,7 +29,7 @@ func (k *Kernel) EnableReflux(face int, p RefluxParams) {
 	k.reflux[face] = &p
 }
 
-// refluxAction is an internal sentinel; moveP dispatches on it.
+// refluxAction is an internal sentinel the mover walk dispatches on.
 const refluxAction Action = 255
 
 // drawReflux returns the re-emission momentum for a wall whose inward

@@ -18,12 +18,8 @@ func (k *Kernel) AdvancePUnfused(buf *particle.Buffer) {
 	bs := &k.serial
 	bs.Reset()
 	k.advanceRangeUnfused(buf, 0, buf.N(), k.Acc, bs)
-	bs.NMoved += int64(len(bs.Movers))
-	for m := len(bs.Movers) - 1; m >= 0; m-- {
-		mv := bs.Movers[m]
-		k.moveP(buf, int(mv.Idx), mv.DispX, mv.DispY, mv.DispZ, k.Acc, bs)
-	}
-	k.MergeStats(bs)
+	k.walkMovers(buf, k.Acc, bs)
+	k.FinishBlocks(buf, []*BlockState{bs})
 }
 
 // advanceRangeUnfused is advanceRange without run fusion: per-particle

@@ -288,12 +288,31 @@ func (l *link) writer(conn net.Conn, errc chan<- error, stop <-chan struct{}) {
 			}
 		case <-l.t.closed:
 			if !l.t.noBye.Load() {
+				// Flush sends queued before Close first: select picks among
+				// ready cases at random, and a goodbye that overtook them
+				// would make the peer drop them as from a dead rank.
+				l.flushOut(write)
 				write(frBye, nil) // best-effort goodbye
 			}
 			errc <- errClosed
 			return
 		case <-stop:
 			errc <- nil
+			return
+		}
+	}
+}
+
+// flushOut writes every data frame still queued in l.out, stopping at
+// the first write error.
+func (l *link) flushOut(write func(kind byte, body []byte) error) {
+	for {
+		select {
+		case f := <-l.out:
+			if write(frData, encodeDataBody(f.seq, f.tag, f.payload)) != nil {
+				return
+			}
+		default:
 			return
 		}
 	}

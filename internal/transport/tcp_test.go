@@ -308,3 +308,30 @@ func TestTCPSizeOne(t *testing.T) {
 		t.Fatalf("allreduce: %v %v", out, err)
 	}
 }
+
+// TestTCPSendThenCloseDelivers: messages queued by Send must reach the
+// peer even when Close follows at once — the goodbye may not overtake
+// data frames still waiting in the link's send queue. Repeated because
+// the writer picks among ready channels at random.
+func TestTCPSendThenCloseDelivers(t *testing.T) {
+	const rounds, msgs = 20, 8
+	for r := 0; r < rounds; r++ {
+		ts := connectWorld(t, 2, fastOpts())
+		for i := 0; i < msgs; i++ {
+			if err := ts[0].Send(1, 5, []float64{float64(i)}); err != nil {
+				t.Fatalf("round %d send %d: %v", r, i, err)
+			}
+		}
+		ts[0].Close()
+		for i := 0; i < msgs; i++ {
+			got, err := ts[1].Recv(0, 5)
+			if err != nil {
+				t.Fatalf("round %d: message %d of %d lost after the sender closed: %v", r, i, msgs, err)
+			}
+			if v := got.([]float64); len(v) != 1 || v[0] != float64(i) {
+				t.Fatalf("round %d: message %d = %v", r, i, v)
+			}
+		}
+		ts[1].Close()
+	}
+}
